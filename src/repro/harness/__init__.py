@@ -15,28 +15,25 @@ Cross-cutting plumbing:
   (and the ``repro`` CLI) consumes;
 - :mod:`repro.harness.parallel` — the process-pool sweep runner every
   driver fans its independent points through;
-- :mod:`repro.harness.hostperf` — wall-clock timing of a fixed
-  reference workload (``BENCH_host_perf.json``);
+- :mod:`repro.harness.hostperf` — one declarative table of behavioural
+  gates on the host-side optimizations over fixed reference workloads
+  (``BENCH_host_perf.json``); wall time across commits is measured by
+  ``perfbench/run.py``;
 - :mod:`repro.harness.shardsweep` — shard-farm sweeps over the
   :mod:`repro.shard` scale-out deployment (shard count × key skew).
 
 The benchmarks in ``benchmarks/`` are thin wrappers over these drivers.
-
-Every entry point consumes a :class:`RunSpec`.  The historical keyword
-entry points (``build_system``, ``fig8_point``, ``fig8_sweep``,
-``fig9_point``, ``table1_elections``) are retired: they remain
-importable, but calling one raises a ``TypeError`` that names the
-RunSpec field replacing each keyword.
+Every entry point consumes a :class:`RunSpec`.
 """
 
-from repro.harness.factory import SYSTEMS, build_from_spec, build_system, settle
-from repro.harness.fig8 import Fig8Point, fig8_point, fig8_sweep
-from repro.harness.fig9 import fig9_grid, fig9_point, fig9_ycsb
+from repro.harness.factory import SYSTEMS, build_from_spec, settle
+from repro.harness.fig8 import Fig8Point
+from repro.harness.fig9 import fig9_grid, fig9_ycsb
 from repro.harness.parallel import default_workers, run_points
 from repro.harness.render import render_series, render_table
 from repro.harness.runspec import WORKLOADS, RunSpec
 from repro.harness.shardsweep import ShardPoint, shard_point, shard_sweep
-from repro.harness.table1 import table1_all, table1_elections
+from repro.harness.table1 import table1_all
 
 __all__ = [
     "SYSTEMS",

@@ -1,8 +1,6 @@
 """Build any of the evaluated systems from a RunSpec.
 
-:func:`build_from_spec` is the factory entry point; the retired
-keyword form (``build_system(name, engine, n, ...)``) raises a
-``TypeError`` pointing at the RunSpec fields that replaced it.
+:func:`build_from_spec` is the factory entry point.
 """
 
 from __future__ import annotations
@@ -67,15 +65,6 @@ SETTLE_MS = {
     "dolev": 1,
     "bracha": 1,
 }
-
-
-def build_system(*args, **kwargs):
-    """Retired keyword entry point; raises with migration guidance."""
-    raise TypeError(
-        "build_system(name, engine, n, ...) was retired: build a "
-        "RunSpec(system=<name>, n=<n>, ...) and call "
-        "build_from_spec(spec, engine, ...) — the name maps to "
-        "RunSpec.system and the replica count to RunSpec.n")
 
 
 def _build_named(name: str, engine: Engine, n: int,

@@ -5,9 +5,7 @@ For each system the driver sweeps the client window over powers of two
 point per window; the sweep stops once throughput saturates — the knee.
 
 The entry points consume a :class:`~repro.harness.runspec.RunSpec`
-(:func:`point`, :func:`sweep`); the retired keyword signatures
-(:func:`fig8_point`, :func:`fig8_sweep`) raise a ``TypeError`` naming
-the RunSpec fields that replaced their keywords.
+(:func:`point`, :func:`sweep`).
 """
 
 from __future__ import annotations
@@ -103,16 +101,6 @@ def point(spec: RunSpec, min_completions: int = 400,
     )
 
 
-def fig8_point(*args, **kwargs):
-    """Retired keyword entry point; raises with migration guidance."""
-    raise TypeError(
-        "fig8_point(system_name, n, message_size, window, ...) was "
-        "retired: build a RunSpec (system_name -> RunSpec.system, "
-        "message_size -> RunSpec.payload_bytes, max_sim_ms -> "
-        "RunSpec.duration_ms; n/window/seed keep their names) and call "
-        "fig8.point(spec, min_completions=...)")
-
-
 def sweep(spec: RunSpec, max_window: int = 1024, min_completions: int = 400,
           saturation_gain: float = 1.08, latency_blowup: float = 12.0,
           substrate_params: Optional[CostModel] = None,
@@ -156,16 +144,6 @@ def sweep(spec: RunSpec, max_window: int = 1024, min_completions: int = 400,
                 if gain < saturation_gain or blowup:
                     return points
     return points
-
-
-def fig8_sweep(*args, **kwargs):
-    """Retired keyword entry point; raises with migration guidance."""
-    raise TypeError(
-        "fig8_sweep(system_name, n, message_size, ...) was retired: "
-        "build a RunSpec (system_name -> RunSpec.system, message_size "
-        "-> RunSpec.payload_bytes, workers -> RunSpec.workers; n/seed "
-        "keep their names) and call fig8.sweep(spec, max_window=..., "
-        "min_completions=...)")
 
 
 def knee(points: list[Fig8Point]) -> Fig8Point:

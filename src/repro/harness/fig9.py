@@ -10,8 +10,7 @@ The paper compares the Acuerdo-backed table against ZooKeeper and etcd
 (both effectively in-memory-equivalent deployments of the same state).
 
 The entry point consumes a :class:`~repro.harness.runspec.RunSpec`
-(:func:`point`); the retired keyword signature (:func:`fig9_point`)
-raises a ``TypeError`` naming the RunSpec fields that replaced it.
+(:func:`point`).
 """
 
 from __future__ import annotations
@@ -86,16 +85,6 @@ def point(spec: RunSpec, min_completions: int = 500,
     return Fig9Point(system=spec.system, n=spec.n,
                      ops_per_sec=res.throughput_msgs_per_sec,
                      completed=res.completed)
-
-
-def fig9_point(*args, **kwargs):
-    """Retired keyword entry point; raises with migration guidance."""
-    raise TypeError(
-        "fig9_point(system_name, n, ...) was retired: build a RunSpec "
-        "(system_name -> RunSpec.system, 8 + value_size -> "
-        "RunSpec.payload_bytes, max_sim_ms -> RunSpec.duration_ms, "
-        "workload='ycsb'; n/window/seed keep their names) and call "
-        "fig9.point(spec, min_completions=..., record_count=...)")
 
 
 def grid_spec(system: str, n: int, seed: int = 1, window: int = 96,

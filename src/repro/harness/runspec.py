@@ -8,13 +8,11 @@ backend, under what workload, for how long, from which seed — and every
 harness entry point (:mod:`~repro.harness.fig8`,
 :mod:`~repro.harness.fig9`, :mod:`~repro.harness.table1`,
 :mod:`~repro.harness.hostperf`, ``repro`` CLI, ``repro trace``)
-consumes it.  The old keyword signatures are retired: calling one
-raises a ``TypeError`` that names the ``RunSpec`` field replacing each
-keyword.
+consumes it.
 
 Frozen + hashable + picklable: a spec can key a result cache, travel
 through the :mod:`~repro.harness.parallel` process pool, and be
-serialised into ``BENCH_host_perf.json`` verbatim.
+serialised to a plain dict (:meth:`RunSpec.to_dict`) and back.
 """
 
 from __future__ import annotations
@@ -156,7 +154,7 @@ class RunSpec:
     # ---------------------------------------------------------------- (de)ser
 
     def to_dict(self) -> dict[str, Any]:
-        """Plain-JSON-serialisable form (used by hostperf's BENCH doc)."""
+        """Plain-JSON-serialisable form (used by span-capture metadata)."""
         return dataclasses.asdict(self)
 
     @classmethod
