@@ -327,6 +327,12 @@ class AcuerdoNode(Process):
         if self.role is Role.LEADER:
             if self.pending_client or self._pending_diffs:
                 return False
+            # An eviction or send after this poll's release scan leaves
+            # the scan (and its slot_release monitor note) due at the
+            # next poll.
+            if (self._evict_gen != self._rs_gen
+                    or self._ring.next_seq != self._rs_ns):
+                return False
             # A persistent higher-epoch vote awaits the rate-limited
             # stranded-voter reaction: keep polling through it.
             if self._max_vote_cached().e_new > self.E_cur:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Any, Callable, Optional
 
 from repro.sim.engine import Engine, Event, us
@@ -153,8 +152,9 @@ class Process:
         allow = self.config.allow_park
         self._park_enabled = park_enabled_default() if allow is None else allow
         self._parked = False
-        self._park_cursor = 0                       # last virtual poll time
-        self._horizon_event: Optional[Event] = None  # parked deadline event
+        self._park_cursor = 0                       # park time
+        self._park_pin: Optional[int] = None        # first tick, if drawn at park
+        self._horizon_event: Optional[Event] = None  # deadline event, kept armed
 
     # ---------------------------------------------------------------- lifecycle
 
@@ -184,6 +184,7 @@ class Process:
             self._horizon_event.cancel()
             self._horizon_event = None
         self._parked = False
+        self._park_pin = None
         self.engine.trace.count("process.crashes")
         obs = self.engine.obs
         if obs is not None:
@@ -198,14 +199,16 @@ class Process:
             gap += self._rng.randrange(cfg.poll_jitter_ns + 1)
         return max(1, int(gap * cfg.speed_factor))
 
-    def _schedule_poll(self) -> None:
+    def _schedule_poll(self, pin: bool = False) -> None:
         if self.crashed:
             return
         # The next poll cannot begin while the CPU is still busy with the
         # previous batch; polling resumes once the loop comes back around.
         # The gap draw inlines _poll_gap's common configuration (unit
         # speed, jittered) as the same getrandbits rejection sampling
-        # randrange performs internally (see _wake_at_tick).
+        # randrange performs internally (see _wake_at_tick).  ``pin``
+        # parks with this tick as the first virtual one instead of
+        # scheduling it (see _park).
         cfg = self.config
         base = cfg.poll_interval_ns
         jitter = cfg.poll_jitter_ns
@@ -220,7 +223,10 @@ class Process:
         else:
             gap = self._poll_gap()
         at = max(self.engine.now + gap, self.cpu.busy_until + 1)
-        self._poll_event = self.engine.schedule_at(at, self._poll_tick)
+        if pin:
+            self._park_pin = at
+        else:
+            self._poll_event = self.engine.schedule_at(at, self._poll_tick)
 
     def _poll_tick(self) -> None:
         if self.crashed:
@@ -270,24 +276,34 @@ class Process:
         # would reorder the draws, so it is disabled under deschedules.
         if self.config.deschedule_mean_interval_ns > 0:
             return False
-        # A backed-up CPU shifts the next poll to busy_until + 1; the
-        # virtual cursor assumes the plain now + gap schedule.
-        if self.cpu.busy_until > self.engine.now:
-            return False
         return self.park_ready()
 
     def _park(self) -> None:
         deadline = self.park_deadline()
-        now = self.engine.now
+        engine = self.engine
+        now = engine.now
         if deadline is not None and deadline <= now:
             # Already due: keep polling for real.
             self._schedule_poll()
             return
+        if self.cpu.busy_until > now:
+            # A backed-up CPU pushes the next tick to busy_until + 1:
+            # draw it now, as the unparked loop would, and pin it; the
+            # virtual ticks after it follow the plain prev + gap rule.
+            self._schedule_poll(pin=True)
         self._parked = True
         self._park_cursor = now
         self._poll_event = None
+        # The horizon stays armed across wakes: re-parking on the same
+        # deadline reuses it; any other deadline replaces it.
+        horizon = self._horizon_event
+        if horizon is not None:
+            if horizon.time == deadline:
+                return
+            horizon.cancel()
+            self._horizon_event = None
         if deadline is not None:
-            self._horizon_event = self.engine.schedule_at(deadline, self._horizon_fire)
+            self._horizon_event = engine.schedule_at(deadline, self._horizon_fire)
 
     def _horizon_fire(self) -> None:
         self._horizon_event = None
@@ -317,18 +333,25 @@ class Process:
         """Fast-forward the virtual poll schedule to the first tick >=
         ``wake_time`` and materialise the poll event there.
 
-        This replay loop dominates farm-scale profiles (millions of
-        virtual ticks), so the common configuration — unit speed factor,
-        positive base interval — runs inline fast paths that consume the
-        RNG stream *identically* to :meth:`_poll_gap`: the jittered path
-        rejection-samples ``getrandbits(k)`` exactly as CPython's
-        ``Random.randrange`` does internally, and the jitter-free path
-        advances the cursor in closed form without iterating.  The
-        config is re-read on every call because failure injection
-        (``slow_node``) mutates ``speed_factor`` mid-run.
+        The first virtual tick is the pinned one if the park drew it
+        (busy CPU), else ``park time + gap``; each later tick is the
+        previous one plus a fresh gap.  The common configuration — unit
+        speed factor, positive base interval — consumes the RNG stream
+        *identically* to :meth:`_poll_gap` without calling it: the
+        jittered path rejection-samples ``getrandbits(k)`` exactly as
+        CPython's ``Random.randrange`` does internally, and the
+        jitter-free path advances the cursor in closed form.  A tick
+        equal to ``wake_time`` is skipped if the deposit was posted after
+        that tick's poll event would have been created (at the previous
+        tick, or at the park for the first one): the unparked poll fires
+        first and misses it.  The config is re-read on every call because
+        failure injection (``slow_node``) mutates ``speed_factor`` mid-run.
         """
         cfg = self.config
         prev = self._park_cursor
+        t = self._park_pin
+        # posted_at <= wake_time < any later tick, and None never ties.
+        posted = -1 if posted_at is None else posted_at
         base = cfg.poll_interval_ns
         jitter = cfg.poll_jitter_ns
         if cfg.speed_factor == 1.0 and base >= 1:
@@ -339,44 +362,12 @@ class Process:
                 grb = self._rng.getrandbits
                 n = jitter + 1
                 k = n.bit_length()
-                # Bulk phase: a tick advances at most base + jitter, so
-                # the first m ticks are guaranteed to stay short of
-                # wake_time and their jitter draws can be consumed in
-                # C-level chunks.  Each accepted value needs at least one
-                # getrandbits call, so drawing exactly `need` calls per
-                # round can never overshoot the rejection-sampled stream:
-                # the call-for-call consumption is identical to the
-                # one-at-a-time loop below.
-                m = (wake_time - prev - 1) // (base + jitter)
-                if m > 0:
-                    acc = 0
-                    need = m
-                    while need:
-                        vals = list(map(grb, repeat(k, need)))
-                        rej = [v for v in vals if v >= n]
-                        acc += sum(vals)
-                        if rej:
-                            acc -= sum(rej)
-                            need = len(rej)
-                        else:
-                            need = 0
-                    prev += m * base + acc
-                r = grb(k)
-                while r >= n:
-                    r = grb(k)
-                t = prev + base + r
-                while t < wake_time:
-                    prev = t
+                if t is None:
                     r = grb(k)
                     while r >= n:
                         r = grb(k)
                     t = prev + base + r
-                if t == wake_time and posted_at is not None and posted_at > prev:
-                    # The deposit lands exactly on a poll tick, but its
-                    # delivery was scheduled after that tick's event would
-                    # have been (the unparked poll was created at the
-                    # previous tick): the real poll fires first and misses
-                    # it.  First observing tick is the next one.
+                while t < wake_time or t == wake_time and posted > prev:
                     prev = t
                     r = grb(k)
                     while r >= n:
@@ -384,25 +375,21 @@ class Process:
                     t = prev + base + r
             else:
                 # Deterministic gap: jump the cursor in closed form.
-                delta = wake_time - prev
-                ticks = 1 if delta <= base else -(-delta // base)
-                t = prev + ticks * base
-                prev = t - base
-                if t == wake_time and posted_at is not None and posted_at > prev:
-                    prev = t
+                if t is None:
                     t = prev + base
+                if t < wake_time:
+                    t += -(-(wake_time - t) // base) * base
+                    prev = t - base
+                if t == wake_time and posted > prev:
+                    t += base
         else:
-            t = prev + self._poll_gap()
-            while t < wake_time:
-                prev = t
+            if t is None:
                 t = prev + self._poll_gap()
-            if t == wake_time and posted_at is not None and posted_at > prev:
+            while t < wake_time or t == wake_time and posted > prev:
                 prev = t
                 t = prev + self._poll_gap()
         self._parked = False
-        if self._horizon_event is not None:
-            self._horizon_event.cancel()
-            self._horizon_event = None
+        self._park_pin = None
         self._poll_event = self.engine.schedule_at(t, self._poll_tick)
 
     @property
@@ -441,6 +428,8 @@ class Process:
         """Take the process off-CPU for ``duration_ns`` (messages keep
         accumulating in its memory; the backlog drains at the next poll)."""
         self.cpu.stall(duration_ns)
+        # An out-of-poll CPU charge: a parked loop re-derives its schedule.
+        self.request_poll()
         self.engine.trace.count("process.deschedules")
         obs = self.engine.obs
         if obs is not None:

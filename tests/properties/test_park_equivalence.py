@@ -86,3 +86,48 @@ def test_parking_elides_events_overall():
         for flag in totals:
             totals[flag] += run_with_park(flag, name)[1]
     assert totals["1"] < totals["0"]
+
+
+def monitor_notes(flag, monkeypatch):
+    """Every monitor note, with its time, of a 5-replica Acuerdo group
+    whose two slow replicas the leader excludes from slot accounting
+    under open-loop load."""
+    from collections import Counter
+
+    from repro.core.cluster import AcuerdoCluster
+    from repro.harness import table1
+    from repro.workloads.openloop import OpenLoopClient
+
+    monkeypatch.setenv("REPRO_PARK", flag)
+    spec = RunSpec(system="acuerdo", n=5, seed=1, payload_bytes=10,
+                   workload="openloop", check_invariants=True)
+    engine = spec.make_engine()
+    notes: Counter = Counter()
+    registry = engine.monitors
+    inner = registry.note
+
+    def note(system, kind, node, **fields):
+        notes[engine.now, kind, node, repr(sorted(fields.items()))] += 1
+        inner(system, kind, node, **fields)
+
+    registry.note = note
+    cluster = AcuerdoCluster(engine, spec.n)
+    cluster.start()
+    engine.run(until=ms(1))
+    for node_id in sorted(cluster.node_ids)[-table1.DEFAULT_SLOW_NODES[spec.n]:]:
+        cfg = cluster.nodes[node_id].config
+        cfg.poll_interval_ns = cfg.poll_jitter_ns = table1.SLOW_POLL_NS
+    OpenLoopClient(cluster, period_ns=us(5), message_size=10).start()
+    engine.run(until=engine.now + ms(2))
+    return notes
+
+
+def test_parked_monitor_notes_match_unparked(monkeypatch):
+    """A leader must not park while an eviction has left its
+    slot-release scan due: the scan's slot_release note would land at
+    a later poll than in the unparked run.  Same-time notes may swap
+    order, so the notes compare as a multiset."""
+    parked = monitor_notes("1", monkeypatch)
+    assert any(kind == "slot_release" and "admin" in fields
+               for _t, kind, _node, fields in parked)
+    assert parked == monitor_notes("0", monkeypatch)

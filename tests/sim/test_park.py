@@ -101,18 +101,126 @@ def test_slow_node_wakes_on_stretched_schedule():
 def test_out_of_poll_cpu_charge_rederives_schedule():
     """Out-of-poll work that advances busy_until must ring request_poll;
     the woken loop then reproduces the unparked busy_until + 1 fallback
-    schedule exactly, and re-parks once the CPU drains."""
+    schedule exactly: it parks through the busy CPU with that tick
+    pinned, and stays parked once the CPU drains."""
     def stall_and_ring(p):
         p.cpu.stall(us(5))
         p.request_poll()
 
     baseline, _ = _run(False, ring=(1_000, stall_and_ring), until=us(3))
     parked, eng = _run(True, ring=(1_000, stall_and_ring), until=us(3))
-    assert not parked.parked          # busy CPU: still real-polling
+    # Parked through the busy CPU, first tick pinned on the baseline.
+    assert parked.parked
+    assert parked._park_pin == baseline._poll_event.time == 1_000 + us(5) + 1
     assert [t for t in baseline.polls if t >= 1_000] == \
         [t for t in parked.polls if t >= 1_000]
     eng.run(until=us(20))
     assert parked.parked              # CPU drained, loop parked again
+
+
+def _stall_then(allow_park, at, fn, until=us(20), **kw):
+    """A 5 us out-of-poll stall at 1000 ns (ringing request_poll), then
+    ``fn(p)`` at ``at``.  Parked, the loop's poll after the stall parks
+    with its next tick pinned at busy_until + 1 = 6001."""
+    def stall_and_ring(p):
+        p.cpu.stall(us(5))
+        p.request_poll()
+
+    e = Engine(seed=9)
+    p = IdleParker(e, config=_cfg(allow_park), **kw)
+    p.start()
+    e.schedule_at(1_000, stall_and_ring, p)
+    e.schedule_at(at, fn, p)
+    e.run(until=until)
+    return p, e
+
+
+PIN = 1_000 + us(5) + 1
+
+
+@pytest.mark.parametrize("at, posted, observed", [
+    (3_000, 3_000, "pin"),             # ring before the pinned tick
+    (PIN, "park", "pin"),              # at it, posted at the park
+    (PIN, "after park", "next"),       # at it, posted after the park
+    (7_000, 7_000, "replay"),          # after it: replay from the pin
+])
+def test_pinned_tick_wakes_on_baseline_schedule(at, posted, observed):
+    baseline, _ = _stall_then(False, at, lambda p: None)
+    ticks = baseline.polls
+    park_at = min(t for t in ticks if t >= 1_000)
+    assert min(t for t in ticks if t > park_at) == PIN
+    posted_at = {"park": park_at, "after park": park_at + 1}.get(posted, posted)
+    parked, _ = _stall_then(True, at, lambda p: p.doorbell(posted_at))
+    expected = {"pin": PIN,
+                "next": min(t for t in ticks if t > PIN),
+                "replay": min(t for t in ticks if t >= at)}[observed]
+    assert parked.polls[-2:] == [park_at, expected]
+    assert parked.parked and parked._park_pin is None
+
+
+def test_deschedule_rings_parked_loop():
+    """deschedule() is an out-of-poll CPU charge: a parked loop must not
+    keep polling on its pre-stall schedule while off-CPU."""
+    def first_poll_after_ring(allow_park):
+        e = Engine(seed=9)
+        p = IdleParker(e, config=_cfg(allow_park))
+        p.start()
+        e.schedule_at(1_000, p.deschedule, us(5))
+        e.schedule_at(1_500, p.doorbell, 1_500)
+        e.run(until=us(20))
+        return min(t for t in p.polls if t >= 1_500)
+
+    assert first_poll_after_ring(True) == first_poll_after_ring(False) == 6_001
+
+
+class FixedDeadline(IdleParker):
+    """Parks on an absolute deadline the test moves."""
+
+    deadline = None
+
+    def park_deadline(self):
+        return self.deadline
+
+
+def test_horizon_stays_armed_across_wakes():
+    e = Engine(seed=9)
+    p = FixedDeadline(e, config=_cfg(True))
+    p.deadline = us(20)
+    p.start()
+    e.run(until=us(2))
+    horizon = p._horizon_event
+    assert p.parked and horizon.time == us(20)
+
+    # Same deadline: the woken poll re-parks without a heap push.
+    e.schedule_at(us(3), p.doorbell, us(3))
+    e.run(until=us(3))
+    pushes = e.heap_pushes
+    e.run(until=us(4))
+    assert p.parked and len(p.polls) == 2
+    assert p._horizon_event is horizon and e.heap_pushes == pushes
+
+    # A changed deadline replaces the event.
+    p.deadline = us(30)
+    p.request_poll()
+    e.run(until=us(5))
+    assert horizon.cancelled and p._horizon_event.time == us(30)
+
+    # A doorbell-only park drops it.
+    horizon = p._horizon_event
+    p.deadline = None
+    p.request_poll()
+    e.run(until=us(6))
+    assert p.parked and horizon.cancelled and p._horizon_event is None
+
+
+def test_crash_clears_pin_and_horizon():
+    p, e = _stall_then(True, 2_000, lambda p: None, until=3_000,
+                       deadline_in=us(8))
+    horizon = p._horizon_event
+    assert p.parked and p._park_pin == PIN and horizon is not None
+    p.crash()
+    assert p._park_pin is None and p._horizon_event is None
+    assert horizon.cancelled and not p.parked
 
 
 def test_deschedules_disable_parking():
